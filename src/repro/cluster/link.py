@@ -349,8 +349,7 @@ class Port:
         if self._consumer is not None:
             self._consumer(tx)
         else:
-            ev = self.inbox.put(tx)
-            ev.defused = True
+            self.inbox.put_nowait(tx)
         if tx.on_delivered is not None:
             tx.on_delivered(tx)
 

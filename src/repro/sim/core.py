@@ -132,6 +132,11 @@ class Simulator:
         self.queue_backend = resolve_queue_backend(queue)
         self._auto = self.queue_backend == "auto"
         self._heap = make_queue(self.queue_backend)
+        #: True iff the pending set is the default binary heap for the
+        #: simulator's whole life, so :meth:`Event.succeed` may push onto
+        #: it directly; ``calendar`` and ``auto`` go through
+        #: :meth:`schedule`.
+        self._plain_heap = self._heap.__class__ is HeapQueue and not self._auto
         self._seq = 0
         #: The process currently being resumed, if any (for diagnostics).
         self._active_process: Optional[Process] = None
@@ -352,8 +357,10 @@ class Simulator:
                 raise EventLifecycleError(
                     "cannot schedule at NaN delay (would corrupt heap ordering)"
                 )
-            # Inline Timeout._rearm: this is the hottest allocation site in
-            # the library, one attribute store saved per field matters.
+            # Re-arm the pooled instance in place: this is the hottest
+            # allocation site in the library.  The run loop already reset
+            # callbacks, defused and the value when it pooled the
+            # instance, so only the per-call fields are written here.
             t = pool.pop()
             t.delay = delay
             t._ok = True

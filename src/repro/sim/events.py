@@ -26,6 +26,7 @@ a correct model.
 from __future__ import annotations
 
 import sys
+from heapq import heappush as _heappush
 from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
 from repro.errors import EventLifecycleError
@@ -190,7 +191,18 @@ class Event:
             raise EventLifecycleError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim.schedule(self)
+        sim = self.sim
+        if sim._plain_heap:
+            # Inline schedule(self): zero delay and NORMAL priority need
+            # no validation, and the default heap takes a C-level push.
+            # The sequence number is drawn exactly as schedule() would,
+            # so dequeue order is unchanged.
+            seq = sim._seq
+            _heappush(sim._heap, (sim._now, 1, seq, self))
+            self._gen = seq
+            sim._seq = seq + 1
+        else:
+            sim.schedule(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -324,19 +336,6 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         sim.schedule(self, delay=delay)
-
-    def _rearm(self, delay: float, value: Any) -> None:
-        """Reset a recycled instance for reuse (kernel-internal).
-
-        Only called by :meth:`Simulator.timeout` on instances the run loop
-        proved unreferenced; ``callbacks`` was already reset to ``None``
-        (no waiters) when the instance entered the free list.
-        """
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        self.defused = False
-        self._cancelled = False
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Timeout delay={self.delay} state={self.state}>"

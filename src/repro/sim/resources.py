@@ -10,6 +10,9 @@ Three families, mirroring what the transport and runtime models need:
   (flow-control credits).
 
 All blocking operations return events to be ``yield``-ed by a process.
+``Store.put_nowait`` and ``Container.put_nowait`` are the exception: a
+producer that never waits for acceptance gets no event, so none is
+scheduled (see docs/ARCHITECTURE.md, "Kernel performance").
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from collections import deque
 from typing import Any, Deque, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import _UNSET, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -44,7 +47,14 @@ class Request(Event):
     __slots__ = ("resource", "priority")
 
     def __init__(self, resource: "Resource", priority: int = 0) -> None:
-        super().__init__(resource.sim)
+        # Event.__init__ inlined: one request per CPU charge makes this a
+        # hot constructor.
+        self.sim = resource.sim
+        self.callbacks = None
+        self._value = _UNSET
+        self._ok = None
+        self.defused = False
+        self._cancelled = False
         self.resource = resource
         self.priority = priority
 
@@ -117,8 +127,10 @@ class Resource:
     def request(self, priority: int = 0) -> Request:
         """Claim a slot; the returned event fires when granted."""
         req = Request(self, priority)
-        if len(self._users) < self.capacity and not self._queue:
-            self._grant(req)
+        users = self._users
+        if len(users) < self.capacity and not self._queue:
+            users.append(req)
+            req.succeed(req)
         else:
             self._enqueue(req)
         return req
@@ -131,7 +143,8 @@ class Resource:
             raise SimulationError(
                 f"release() of a request not holding {self.name or 'resource'}"
             ) from None
-        self._grant_next()
+        if self._queue:
+            self._grant_next()
 
     def use(self, duration: float, priority: int = 0) -> Generator[Event, Any, None]:
         """Convenience: acquire, hold for *duration*, release.
@@ -204,36 +217,32 @@ class Resource:
 class PriorityResource(Resource):
     """A :class:`Resource` whose queue is ordered by ``priority`` (low first).
 
-    Ties break FIFO via a monotone sequence number.
+    Ties break FIFO via a monotone sequence number.  The wait queue is a
+    heap of ``(priority, seq, request)`` kept in ``_queue``, so the base
+    class's emptiness checks in :meth:`request` and :meth:`release` see it.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "") -> None:
         super().__init__(sim, capacity, name)
-        self._pqueue: List[Tuple[int, int, Request]] = []
+        self._queue: List[Tuple[int, int, Request]] = []  # type: ignore[assignment]
         self._pseq = 0
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._pqueue)
-
     def _enqueue(self, request: Request) -> None:
-        heapq.heappush(self._pqueue, (request.priority, self._pseq, request))
+        heapq.heappush(self._queue, (request.priority, self._pseq, request))
         self._pseq += 1
 
     def _dequeue(self) -> Optional[Request]:
-        while self._pqueue:
-            _, _, req = heapq.heappop(self._pqueue)
-            if req is not None:
-                return req
+        if self._queue:
+            return heapq.heappop(self._queue)[2]
         return None
 
     def _remove_from_queue(self, request: Request) -> bool:
-        for i, (prio, seq, req) in enumerate(self._pqueue):
+        for i, (_prio, _seq, req) in enumerate(self._queue):
             if req is request:
                 # Lazy deletion would complicate queue_length; rebuild instead
                 # (queues here are short: per-core or per-port).
-                del self._pqueue[i]
-                heapq.heapify(self._pqueue)
+                del self._queue[i]
+                heapq.heapify(self._queue)
                 return True
         return False
 
@@ -241,10 +250,19 @@ class PriorityResource(Resource):
 class Store:
     """A FIFO channel of arbitrary items with optional capacity.
 
-    ``put(item)`` returns an event that fires once the item is accepted
-    (immediately if there is space); ``get()`` returns an event that fires
-    with the next item.  This is the backbone of every queue in the stack:
-    socket buffers, VIA descriptor rings, DataCutter streams.
+    This is the backbone of every queue in the stack: socket buffers, VIA
+    descriptor rings, DataCutter streams.
+
+    * ``get()`` returns an event that fires with the next item.
+    * ``put(item)`` returns an event that fires once the item is accepted
+      (immediately if there is space).  Use it when the producer waits
+      for acceptance, i.e. on a bounded store.
+    * ``put_nowait(item)`` offers the item with no event at all.  It is
+      for producers that never wait: the item goes to the first waiting
+      getter or onto the buffer, or, on a full store, queues as an
+      event-less putter in the same FIFO as the ``put()`` putters.
+    * ``try_put``/``try_get`` move an item only if that is possible right
+      now, and schedule nothing.
     """
 
     def __init__(
@@ -260,7 +278,9 @@ class Store:
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[Tuple[Event, Any]] = deque()
+        #: Blocked putters, FIFO.  The event is ``None`` for a
+        #: :meth:`put_nowait` item, which nobody waits on.
+        self._putters: Deque[Tuple[Optional[Event], Any]] = deque()
 
     # -- introspection ---------------------------------------------------------------
 
@@ -292,33 +312,53 @@ class Store:
         self._settle()
         return ev
 
+    def put_nowait(self, item: Any) -> None:
+        """Offer *item* without an acceptance event.
+
+        Moves items exactly as :meth:`put` does, minus the event: the
+        first waiting getter takes the item, else it is buffered, else
+        (full store) it waits behind the blocked putters in FIFO order.
+        """
+        if not self._putters and len(self._items) < self.capacity:
+            getters = self._getters
+            if getters:
+                # A waiting getter implies an empty buffer.
+                getters.popleft().succeed(item)
+            else:
+                self._items.append(item)
+        else:
+            self._putters.append((None, item))
+            self._settle()
+
     def try_put(self, item: Any) -> bool:
         """Non-blocking put: True if accepted immediately."""
         if len(self._items) < self.capacity or self._getters:
-            ev = self.put(item)
-            assert ev.triggered
-            ev.defused = True
+            self.put_nowait(item)
             return True
         return False
 
     def get(self) -> Event:
         """Take the next item; the event fires with it as value."""
         ev = self.sim.event()
+        items = self._items
+        if items and not self._getters and not self._putters:
+            # Nothing else waits: hand the head item over directly.
+            ev.succeed(items.popleft())
+            return ev
         self._getters.append(ev)
         self._settle()
         return ev
 
     def try_get(self) -> Tuple[bool, Any]:
         """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
-        if self._items or self._putters:
-            ev = self.get()
-            if ev.triggered:
-                ev.defused = True
-                return True, ev._value
-            # No item materialized (shouldn't happen); withdraw.
-            self._getters.remove(ev)
+        items = self._items
+        if not items:
             return False, None
-        return False, None
+        item = items.popleft()
+        if self._putters:
+            # The freed slot admits the next blocked putter.
+            self._settle()
+        return True, item
 
     def cancel_get(self, event: Event) -> None:
         """Withdraw a pending get (e.g. after an interrupt)."""
@@ -344,7 +384,8 @@ class Store:
             while self._putters and len(self._items) < self.capacity:
                 ev, item = self._putters.popleft()
                 self._items.append(item)
-                ev.succeed()
+                if ev is not None:
+                    ev.succeed()
                 progressed = True
             while self._getters and self._items:
                 ev = self._getters.popleft()
@@ -360,7 +401,8 @@ class Container:
     """A counted pool of indistinguishable units (e.g. flow-control credits).
 
     ``get(n)`` blocks until *n* units are available; ``put(n)`` returns
-    units (blocking only if a finite capacity would overflow).  Waiters are
+    units (blocking only if a finite capacity would overflow), and
+    ``put_nowait(n)`` does the same with no event for the caller.  Waiters are
     served FIFO, and a large ``get`` at the head of the queue blocks later
     small ones — the conservative discipline credit protocols need.
     """
@@ -381,7 +423,8 @@ class Container:
         self.name = name
         self._level = init
         self._getters: Deque[Tuple[Event, float]] = deque()
-        self._putters: Deque[Tuple[Event, float]] = deque()
+        #: Blocked putters, FIFO; ``None`` marks a :meth:`put_nowait`.
+        self._putters: Deque[Tuple[Optional[Event], float]] = deque()
 
     @property
     def level(self) -> float:
@@ -408,6 +451,25 @@ class Container:
         self._settle()
         return ev
 
+    def put_nowait(self, amount: float = 1) -> None:
+        """Return *amount* units without an acceptance event.
+
+        Same FIFO discipline as :meth:`put`: the units are added now if
+        they fit and no putter is blocked, else they wait behind the
+        blocked putters.
+        """
+        if amount <= 0:
+            raise ValueError("amount must be positive")
+        if amount > self.capacity:
+            raise ValueError("amount exceeds container capacity")
+        if not self._putters and self._level + amount <= self.capacity:
+            self._level += amount
+            if self._getters:
+                self._settle()
+        else:
+            self._putters.append((None, amount))
+            self._settle()
+
     def _settle(self) -> None:
         progressed = True
         while progressed:
@@ -417,7 +479,8 @@ class Container:
                 if self._level + amount <= self.capacity:
                     self._putters.popleft()
                     self._level += amount
-                    ev.succeed()
+                    if ev is not None:
+                        ev.succeed()
                     progressed = True
             if self._getters:
                 ev, amount = self._getters[0]

@@ -426,8 +426,7 @@ class SocketViaSocket(BaseSocket):
                 # fragment pool; drop them like the RDMA ones.
                 continue
             desc.reset()
-            ev = self._send_pool.put(desc)
-            ev.defused = True
+            self._send_pool.put_nowait(desc)
 
     # -- receive ----------------------------------------------------------------------
 
@@ -595,8 +594,7 @@ class SocketViaStack(StackBase):
         sock = self._endpoints.get(frame.dst_vi)
         if sock is None:
             return
-        ev = sock._credits.put(frame.count)
-        ev.defused = True
+        sock._credits.put_nowait(frame.count)
 
     # -- close ------------------------------------------------------------------------------
 

@@ -1,7 +1,13 @@
 """Unit tests for Resource / PriorityResource / Store / Container."""
 
-import pytest
+import re
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
 from repro.errors import SimulationError
 from repro.sim import (
     Container,
@@ -411,3 +417,175 @@ class TestContainer:
             c.get(0)
         with pytest.raises(ValueError):
             c.put(6)
+
+
+class TestPutNowait:
+    """``put_nowait`` moves items like ``put`` but schedules no event."""
+
+    def test_unobserved_put_nowait_processes_no_events(self, sim):
+        store = Store(sim)
+        credits = Container(sim, init=0)
+        store.put_nowait("x")
+        credits.put_nowait(3)
+        sim.run()
+        assert sim.events_processed == 0
+        assert store.size == 1 and credits.level == 3
+
+    def test_put_nowait_to_waiting_getter_is_one_event(self, sim):
+        store = Store(sim)
+        got = store.get()
+        store.put_nowait("x")
+        sim.run()
+        assert sim.events_processed == 1
+        assert got.value == "x"
+        assert store.size == 0
+
+    def test_container_put_nowait_to_waiting_getter_is_one_event(self, sim):
+        credits = Container(sim, init=0)
+        got = credits.get(2)
+        credits.put_nowait(2)
+        sim.run()
+        assert sim.events_processed == 1
+        assert got.processed and credits.level == 0
+
+    def test_try_put_try_get_schedule_nothing(self, sim):
+        store = Store(sim, capacity=2)
+        assert store.try_put("a") and store.try_put("b")
+        assert not store.try_put("c")
+        assert store.try_get() == (True, "a")
+        sim.run()
+        assert sim.events_processed == 0
+        assert store.size == 1
+
+    def test_full_store_keeps_fifo_with_blocked_putters(self, sim):
+        store = Store(sim, capacity=1)
+        store.put_nowait("a")
+        p_b = store.put("b")
+        store.put_nowait("c")
+        p_d = store.put("d")
+        assert not p_b.triggered and not p_d.triggered
+        out = []
+
+        def consumer():
+            for _ in range(4):
+                out.append((yield store.get()))
+
+        sim.process(consumer())
+        sim.run()
+        assert out == ["a", "b", "c", "d"]
+        assert p_b.processed and p_d.processed
+
+    def test_try_get_admits_blocked_put_nowait(self, sim):
+        store = Store(sim, capacity=1)
+        store.put_nowait("a")
+        store.put_nowait("b")
+        assert store.size == 1
+        assert store.try_get() == (True, "a")
+        assert store.try_get() == (True, "b")
+        assert store.try_get() == (False, None)
+
+    def test_full_container_keeps_fifo_with_blocked_putters(self, sim):
+        credits = Container(sim, capacity=2, init=2)
+        p1 = credits.put(1)
+        credits.put_nowait(2)
+        p3 = credits.put(1)
+        credits.get(1)
+        assert p1.triggered and credits.level == 2
+        credits.get(2)
+        # The event-less 2 is ahead of p3 in the FIFO, so it is admitted
+        # first and p3 stays blocked although it alone would fit.
+        assert credits.level == 2 and not p3.triggered
+        credits.get(1)
+        assert p3.triggered and credits.level == 2
+        sim.run()
+
+    def test_container_put_nowait_validation(self, sim):
+        credits = Container(sim, capacity=5)
+        with pytest.raises(ValueError):
+            credits.put_nowait(0)
+        with pytest.raises(ValueError):
+            credits.put_nowait(6)
+
+
+def _store_script_log(ops, capacity, nowait):
+    """Run *ops* against one Store; return the getter log, the buffered
+    size after each op, and the event count.
+
+    Every put is unobserved: ``put_nowait`` when *nowait*, else the
+    ``put()`` + ``defused`` idiom it replaces.  A final drain with
+    ``try_get`` admits any putters still blocked, so every ``put()``
+    event fires.
+    """
+    sim = Simulator()
+    store = Store(sim, capacity=capacity)
+    log = []
+    sizes = []
+
+    def getter():
+        value = yield store.get()
+        log.append((value, sim.now))
+
+    def driver():
+        for op, arg in ops:
+            if op == "put":
+                if nowait:
+                    store.put_nowait(arg)
+                else:
+                    ev = store.put(arg)
+                    ev.defused = True
+            elif op == "get":
+                sim.process(getter())
+            elif op == "try_get":
+                ok, value = store.try_get()
+                if ok:
+                    log.append((value, sim.now))
+            else:
+                yield sim.timeout(arg)
+            sizes.append(store.size)
+        while True:
+            ok, value = store.try_get()
+            if not ok:
+                break
+            log.append((value, sim.now))
+
+    sim.process(driver())
+    sim.run()
+    return log, sizes, sim.events_processed
+
+
+_STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 99)),
+        st.tuples(st.just("get"), st.none()),
+        st.tuples(st.just("try_get"), st.none()),
+        st.tuples(st.just("wait"), st.sampled_from([0.0, 0.5, 1.0])),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_STORE_OPS, capacity=st.sampled_from([float("inf"), 1, 2, 3]))
+def test_put_nowait_matches_defused_put(ops, capacity):
+    old_log, old_sizes, old_events = _store_script_log(ops, capacity, nowait=False)
+    new_log, new_sizes, new_events = _store_script_log(ops, capacity, nowait=True)
+    assert new_log == old_log
+    assert new_sizes == old_sizes
+    n_puts = sum(1 for op, _ in ops if op == "put")
+    assert old_events - new_events == n_puts
+
+
+def test_no_module_drops_a_put_event():
+    """Fire-and-forget producers use ``put_nowait``: a ``put()`` whose
+    event is only defused and dropped still costs a heap entry."""
+    src = Path(repro.__file__).resolve().parent
+    dropped = re.compile(
+        r"(\w+)\s*=\s*[^\n]*\.put\([^\n]*\)\s*\n\s*\1\.defused\s*=\s*True"
+        r"|\.put\([^\n]*\)\.defused\s*=\s*True"
+    )
+    offenders = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if dropped.search(path.read_text())
+    ]
+    assert offenders == []
