@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.errors import SimulationError
+from repro.errors import EventLifecycleError, SimulationError
 from repro.sim import (
     Container,
     Interrupt,
@@ -229,6 +229,161 @@ class TestPriorityResource:
         res.release(holder)
         assert r3.triggered
         sim.run()
+
+
+class TestUseHold:
+    """``use(t)`` and ``occupy(t)`` are one event: the request fires at
+    grant + t, and an interrupted holder or waiter gives its slot back."""
+
+    def test_interrupt_while_queued_frees_the_queue(self, sim):
+        res = Resource(sim, capacity=1)
+        done = []
+
+        def job(name, delay):
+            yield sim.timeout(delay)
+            try:
+                yield from res.use(1.0)
+            except Interrupt:
+                done.append((name, "interrupted", sim.now))
+                return
+            done.append((name, sim.now))
+
+        sim.process(job("holder", 0.0))
+        waiter = sim.process(job("waiter", 0.0))
+        sim.process(job("third", 0.5))
+
+        def interrupter():
+            yield sim.timeout(0.25)
+            waiter.interrupt()
+
+        sim.process(interrupter())
+        sim.run()
+        assert done == [
+            ("waiter", "interrupted", 0.25),
+            ("holder", 1.0),
+            ("third", 2.0),
+        ]
+        assert res.count == 0 and res.queue_length == 0
+
+    def test_interrupt_mid_hold_releases_and_never_pops(self, sim):
+        res = Resource(sim, capacity=1)
+        done = []
+        kinds = []
+        sim.add_trace_hook(lambda _t, ev: kinds.append(type(ev).__name__))
+
+        def holder():
+            try:
+                yield from res.use(2.0)
+            except Interrupt:
+                done.append(("holder", "interrupted", sim.now))
+
+        def waiter():
+            yield from res.use(1.0)
+            done.append(("waiter", sim.now))
+
+        h = sim.process(holder())
+        sim.process(waiter())
+
+        def interrupter():
+            yield sim.timeout(0.5)
+            h.interrupt()
+
+        sim.process(interrupter())
+        sim.run()
+        assert done == [("holder", "interrupted", 0.5), ("waiter", 1.5)]
+        assert res.count == 0 and res.queue_length == 0
+        # The holder's tombstoned hold end never popped: one Request
+        # event, the waiter's.
+        assert kinds.count("Request") == 1
+        assert sim.now == 1.5
+
+    def test_closed_use_withdraws_its_request(self, sim):
+        res = Resource(sim, capacity=1)
+        holding = res.use(1.0)
+        next(holding)
+        queued = res.use(1.0)
+        next(queued)
+        assert res.count == 1 and res.queue_length == 1
+        queued.close()
+        assert res.queue_length == 0
+        holding.close()
+        assert res.count == 0
+        sim.run()
+        assert sim.events_processed == 0
+
+    @pytest.mark.parametrize(
+        "duration, exc", [(-1.0, ValueError), (float("nan"), EventLifecycleError)]
+    )
+    def test_invalid_duration_raises_before_claiming(self, sim, duration, exc):
+        res = Resource(sim, capacity=1)
+        with pytest.raises(exc):
+            next(res.use(duration))
+        with pytest.raises(exc):
+            res.occupy(duration)
+        assert res.count == 0 and res.queue_length == 0
+        # The same exceptions Simulator.timeout raises.
+        with pytest.raises(exc):
+            sim.timeout(duration)
+
+    def test_free_use_pops_one_event_and_no_timeout(self, sim):
+        res = Resource(sim, capacity=1)
+        kinds = []
+        sim.add_trace_hook(lambda _t, ev: kinds.append(type(ev).__name__))
+
+        def job():
+            yield from res.use(1.0)
+
+        sim.process(job())
+        sim.run()
+        # Process start, the hold, process end.
+        assert kinds == ["Event", "Request", "Process"]
+        assert sim.now == 1.0
+
+    def test_each_queued_use_pops_one_event(self, sim):
+        res = Resource(sim, capacity=1)
+        kinds = []
+        sim.add_trace_hook(lambda _t, ev: kinds.append(type(ev).__name__))
+        ends = []
+
+        def job():
+            yield from res.use(1.0)
+            ends.append(sim.now)
+
+        for _ in range(4):
+            sim.process(job())
+        sim.run()
+        assert ends == [1.0, 2.0, 3.0, 4.0]
+        assert kinds.count("Request") == 4
+        assert "Timeout" not in kinds
+        assert sim.events_processed == 4 * 3
+
+    def test_occupy_busy_costs_one_event(self, sim):
+        res = Resource(sim, capacity=1)
+        holder = res.request()
+        req = res.occupy(2.0)
+        assert res.queue_length == 1
+        sim.run()
+        before = sim.events_processed
+        res.release(holder)
+        assert res.count == 1
+        sim.run()
+        assert sim.events_processed - before == 1
+        assert sim.now == 2.0 and res.count == 0
+        assert req.processed
+
+    def test_priority_use_queues_by_priority(self, sim):
+        res = PriorityResource(sim, capacity=1)
+        order = []
+
+        def job(name, prio):
+            yield from res.use(1.0, priority=prio)
+            order.append((name, sim.now))
+
+        sim.process(job("first", 9))
+        sim.process(job("low", 5))
+        sim.process(job("high", 0))
+        sim.run()
+        assert order == [("first", 1.0), ("high", 2.0), ("low", 3.0)]
 
 
 class TestStore:
@@ -589,3 +744,100 @@ def test_no_module_drops_a_put_event():
         if dropped.search(path.read_text())
     ]
     assert offenders == []
+
+
+def _two_event_use(res, duration, priority, requests):
+    """Reference: ``use`` as a grant event then a separate timeout.
+
+    The earlier implementation, except that a withdrawn waiter cancels
+    its request and an interrupted holder cancels its timeout, so that
+    it differs from :meth:`Resource.use` only in event count.  Each
+    request is appended to *requests*.
+    """
+    req = res.request(priority)
+    requests.append(req)
+    timer = None
+    try:
+        yield req
+        timer = res.sim.timeout(duration)
+        yield timer
+    except BaseException:
+        if timer is not None:
+            timer.cancel()
+        req.cancel()
+        raise
+    res.release(req)
+
+
+def _use_script_log(jobs, interrupts, capacity, prioritized, reference):
+    """Run *jobs* against one resource; return the ``(name, start, end)``
+    log, the events processed and the number of granted holds.
+
+    Each job waits for its arrival, then runs its holds in series; an
+    interrupt ends the job.  All waits are scheduled at time 0, before
+    any claim, so both ``use`` implementations see the same ties.
+    """
+    sim = Simulator()
+    res = (PriorityResource if prioritized else Resource)(sim, capacity=capacity)
+    log = []
+    requests = []
+    procs = []
+
+    def job(name, arrival, holds):
+        try:
+            yield sim.timeout(arrival)
+            for duration, priority in holds:
+                start = sim.now
+                if reference:
+                    yield from _two_event_use(res, duration, priority, requests)
+                else:
+                    yield from res.use(duration, priority)
+                log.append((name, start, sim.now))
+        except Interrupt:
+            log.append((name, "interrupted", sim.now))
+
+    def interrupter(target, at):
+        yield sim.timeout(at)
+        if procs[target].is_alive:
+            procs[target].interrupt()
+
+    for i, (arrival, holds) in enumerate(jobs):
+        procs.append(sim.process(job(i, arrival, holds)))
+    for target, at in interrupts:
+        sim.process(interrupter(target % len(jobs), at))
+    sim.run()
+    assert res.count == 0 and res.queue_length == 0
+    return log, sim.events_processed, sum(req.triggered for req in requests)
+
+
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5])
+_USE_JOBS = st.lists(
+    st.tuples(
+        _TIMES,
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2)),
+            min_size=1,
+            max_size=3,
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    jobs=_USE_JOBS,
+    interrupts=st.lists(st.tuples(st.integers(0, 5), _TIMES), max_size=3),
+    capacity=st.integers(1, 3),
+    prioritized=st.booleans(),
+)
+def test_one_event_use_matches_two_event_use(jobs, interrupts, capacity, prioritized):
+    old_log, old_events, n_granted = _use_script_log(
+        jobs, interrupts, capacity, prioritized, reference=True
+    )
+    new_log, new_events, _ = _use_script_log(
+        jobs, interrupts, capacity, prioritized, reference=False
+    )
+    assert new_log == old_log
+    assert old_events - new_events == n_granted
