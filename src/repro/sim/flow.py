@@ -220,6 +220,36 @@ class FlowModel:
         self._reschedule()
         return flow
 
+    def add_pair(
+        self,
+        other: "FlowModel",
+        work: float,
+        callback: Callable[[], Any],
+        other_callback: Callable[[], Any],
+    ) -> None:
+        """Register *work* here and on *other* at once: the two link
+        directions one collapsed transfer crosses.
+
+        Same result as ``self.add(work, callback)`` followed by
+        ``other.add(work, other_callback)``.  When both models are idle
+        the two flows would drain at the same instant on two timers with
+        consecutive sequence numbers, so they share the first one
+        instead: one event whose callbacks are this model's drain, then
+        *other*'s.  No key lies between those two timers, so the
+        dequeue order is unchanged.  A model that re-solves before the
+        drain (another flow arrives) takes its drain off the shared
+        timer and schedules its own, as :meth:`add` would have.
+        """
+        if self._flows or other._flows:
+            self.add(work, callback)
+            other.add(work, other_callback)
+            return
+        self.add(work, callback)
+        other._advance()
+        other._flows.append(FluidFlow(work, other_callback))
+        other._timer = self._timer
+        self._timer.add_callback(other._on_timer)
+
     # -- internals --------------------------------------------------------
 
     def _advance(self) -> None:
@@ -238,9 +268,16 @@ class FlowModel:
         """Re-solve the single completion timer: the next flow to
         finish needs ``min(remaining) * n`` more wall time at the
         current share."""
-        if self._timer is not None:
-            self._timer.cancel()
+        timer = self._timer
+        if timer is not None:
             self._timer = None
+            cbs = timer.callbacks
+            if cbs.__class__ is list and len(cbs) > 1:
+                # Shared with the other direction (add_pair): leave it
+                # to the model still draining on it.
+                cbs.remove(self._on_timer)
+            else:
+                timer.cancel()
         if not self._flows:
             return
         next_in = min(f.remaining for f in self._flows) * len(self._flows)

@@ -248,3 +248,103 @@ class TestFlowModel:
         sim.run_all()
         assert max(last) == pytest.approx(sum(works))
         assert model.drained == len(works)
+
+
+# ---------------------------------------------------------------------------
+# FlowModel.add_pair: both directions of one transfer
+# ---------------------------------------------------------------------------
+
+
+def _run_flow_ops(ops, paired):
+    """Run *ops* on two models, A and B, and return ``(log, events)``.
+
+    Each op is ``(delay, kind, work)``: after *delay* from the previous
+    op, ``kind`` "ab"/"ba" registers *work* on both models (first the
+    named one) and "a"/"b" on one.  With *paired* the two-model ops go
+    through :meth:`FlowModel.add_pair`, else through two :meth:`add`
+    calls.  The log records every op and every drain with its time, so
+    it shows any change of order at a tied instant.
+    """
+    sim = Simulator()
+    models = {"a": FlowModel(sim), "b": FlowModel(sim)}
+    log = []
+
+    def drain(label):
+        return lambda: log.append((label, sim.now))
+
+    def step(i):
+        if i == len(ops):
+            return
+        delay, kind, work = ops[i]
+
+        def fire(_event):
+            log.append(("op", i, sim.now))
+            label = f"{kind}{i}"
+            if len(kind) == 1:
+                models[kind].add(work, drain(label))
+            else:
+                first, second = models[kind[0]], models[kind[1]]
+                if paired:
+                    first.add_pair(second, work, drain(label + kind[0]),
+                                   drain(label + kind[1]))
+                else:
+                    first.add(work, drain(label + kind[0]))
+                    second.add(work, drain(label + kind[1]))
+            step(i + 1)
+
+        sim.timeout(delay).add_callback(fire)
+
+    step(0)
+    sim.run_all()
+    return log, sim.events_processed
+
+
+class TestFlowModelPair:
+    def test_idle_pair_drains_on_one_event(self):
+        sim = Simulator()
+        up, down = FlowModel(sim), FlowModel(sim)
+        done = []
+        up.add_pair(down, 2.0, lambda: done.append(("up", sim.now)),
+                    lambda: done.append(("down", sim.now)))
+        assert sim.run_all() == 1
+        assert done == [("up", 2.0), ("down", 2.0)]
+        assert up.drained == down.drained == 1
+
+    def test_busy_model_gets_its_own_timer(self):
+        log, events = _run_flow_ops([(0.0, "a", 1.0), (0.0, "ab", 1.0)],
+                                    paired=True)
+        ref, ref_events = _run_flow_ops([(0.0, "a", 1.0), (0.0, "ab", 1.0)],
+                                        paired=False)
+        assert log == ref
+        assert events == ref_events
+
+    @pytest.mark.parametrize("late", ["a", "b"])
+    def test_model_that_resolves_leaves_the_shared_timer(self, late):
+        # A flow arriving on one direction mid-drain re-solves that
+        # model alone; the other keeps draining on the shared event.
+        ops = [(0.0, "ab", 1.0), (0.5, late, 1.0)]
+        log, events = _run_flow_ops(ops, paired=True)
+        ref, ref_events = _run_flow_ops(ops, paired=False)
+        assert log == ref
+        assert (f"ab0{late}", 1.5) in log
+        other = "b" if late == "a" else "a"
+        assert (f"ab0{other}", 1.0) in log
+        # Both ways pop three drain events: the separate timer of the
+        # model that re-solved was a tombstone, never popped.
+        assert events == ref_events
+
+    @given(ops=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+            st.sampled_from(["ab", "ba", "a", "b"]),
+            st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
+        min_size=1, max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_pair_matches_two_adds(self, ops):
+        # Tied arrival times and works make drains coincide with each
+        # other and with op events; the logs must agree exactly.
+        log, events = _run_flow_ops(ops, paired=True)
+        ref, ref_events = _run_flow_ops(ops, paired=False)
+        assert log == ref
+        pairs = sum(len(kind) == 2 for _d, kind, _w in ops)
+        assert ref_events - pairs <= events <= ref_events
