@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.errors import FilterGraphError, PlacementError
 
 __all__ = ["FilterSpec", "StreamSpec", "Placement", "FilterGroup"]
@@ -134,19 +132,68 @@ class FilterGroup:
 
     # -- validation ----------------------------------------------------------------------
 
+    def topological_order(self) -> List[str]:
+        """Filters in data-flow order; raises :class:`FilterGraphError` on a cycle.
+
+        Kahn's algorithm, generation by generation: first the filters
+        with no inputs in declaration order, then each filter in the
+        order its last input producer is visited, walking producers in
+        order and each producer's consumers in first-stream order.
+        Streams repeating a producer -> consumer pair count once, as in
+        a simple digraph.  :func:`~repro.datacutter.placement_opt.plan_placement`
+        assigns copies in this order, so it must stay stable.
+        """
+        consumers: Dict[str, Dict[str, None]] = {f: {} for f in self.filters}
+        for s in self.streams:
+            consumers[s.producer][s.consumer] = None
+        indegree = dict.fromkeys(self.filters, 0)
+        for children in consumers.values():
+            for child in children:
+                indegree[child] += 1
+        order = [f for f, d in indegree.items() if d == 0]
+        i = 0
+        while i < len(order):
+            for child in consumers[order[i]]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    order.append(child)
+            i += 1
+        if len(order) < len(self.filters):
+            raise FilterGraphError(
+                f"filter graph has a cycle: {' -> '.join(self._find_cycle(order))}"
+            )
+        return order
+
+    def _find_cycle(self, ordered: List[str]) -> List[str]:
+        """One cycle among the filters Kahn's pass could not order.
+
+        Every such filter keeps an unordered producer, so walking
+        producers backwards from one of them must revisit a filter.
+        Returns the cycle in stream direction, closed (first == last).
+        """
+        done = set(ordered)
+        node = next(f for f in self.filters if f not in done)
+        path: List[str] = []
+        seen: Dict[str, int] = {}
+        while node not in seen:
+            seen[node] = len(path)
+            path.append(node)
+            node = next(
+                s.producer for s in self.streams
+                if s.consumer == node and s.producer not in done
+            )
+        cycle = path[seen[node]:][::-1]
+        return cycle + cycle[:1]
+
     def validate(self) -> None:
         """Raise :class:`FilterGraphError` on structural problems."""
         if not self.filters:
             raise FilterGraphError("empty filter group")
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.filters)
-        for s in self.streams:
-            graph.add_edge(s.producer, s.consumer, name=s.name)
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
-            raise FilterGraphError(f"filter graph has a cycle: {cycle}")
+        self.topological_order()
         if len(self.filters) > 1:
-            isolated = [n for n in graph.nodes if graph.degree(n) == 0]
+            linked = {s.producer for s in self.streams}
+            linked.update(s.consumer for s in self.streams)
+            isolated = [f for f in self.filters if f not in linked]
             if isolated:
                 raise FilterGraphError(
                     f"filters not connected to any stream: {isolated}"

@@ -42,7 +42,7 @@ from typing import (Any, Deque, Dict, Generator, Iterable, List, Optional,
 
 from repro.errors import DataCutterError
 from repro.sim import Event, Simulator
-from repro.sim.monitor import Tally
+from repro.sim.stats import Tally
 
 __all__ = [
     "WriteScheduler",

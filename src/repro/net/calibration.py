@@ -22,6 +22,8 @@ perfect-pipelining block sizes (16 KB vs 2 KB at 18 ns/byte compute).
 :func:`fit_cost_model` re-derives host-overhead parameters from
 (latency, bandwidth) observations with scipy least squares, both as a
 calibration audit and as a tool for users to model their own fabric.
+scipy is imported on its first call, so loading the calibrated models
+does not pay for it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import dataclasses
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.sim.units import mbps_to_bytes_per_sec, nsec, usec
 from repro.net.model import ProtocolCostModel
@@ -217,6 +218,8 @@ def fit_cost_model(
         for size, bw in bandwidth_points:
             res.append((model.streaming_bandwidth(size) - bw) / bw)
         return np.asarray(res)
+
+    from scipy.optimize import least_squares
 
     fit = least_squares(
         residuals,

@@ -22,11 +22,20 @@ from repro.sim.flow import (
     simulation_mode,
     solve_pipeline,
 )
-from repro.sim.monitor import Counter, Histogram, SeriesRecorder, Tally, TimeWeighted
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import Container, PriorityResource, Request, Resource, Store
 from repro.sim.rng import RandomStreams
-from repro.sim.stats import BatchMeans, Summary, mser5, trim_warmup
+from repro.sim.stats import (
+    BatchMeans,
+    Counter,
+    Histogram,
+    SeriesRecorder,
+    Summary,
+    Tally,
+    TimeWeighted,
+    mser5,
+    trim_warmup,
+)
 from repro.sim.trace import NULL_TRACER, TraceRecord, Tracer
 from repro.sim import units
 

@@ -2,6 +2,8 @@
 buffers and write schedulers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datacutter import (
     DataBuffer,
@@ -102,6 +104,85 @@ class TestFilterGroupValidation:
         g.add_filter("b", Dummy, policy="dd")
         assert g.policy_for("a") == "rr"
         assert g.policy_for("b") == "dd"
+
+
+@st.composite
+def filter_graphs(draw, acyclic=True):
+    """Filter names in declaration order plus producer -> consumer pairs.
+
+    Filters get a random rank so declaration order is not already a
+    topological order; pairs repeat often (duplicate streams), and some
+    filters end up with no stream at all.  With ``acyclic`` every pair
+    points up the rank order; otherwise pairs are arbitrary, so cycles
+    and self-loops appear.
+    """
+    n = draw(st.integers(1, 8))
+    rank = draw(st.permutations(range(n)))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+    )
+    edges = []
+    for i, j in pairs:
+        if acyclic:
+            if i == j:
+                continue
+            if rank[i] > rank[j]:
+                i, j = j, i
+        edges.append((f"f{i}", f"f{j}"))
+    return [f"f{k}" for k in range(n)], edges
+
+
+def group_of(names, edges):
+    g = FilterGroup("g")
+    for name in names:
+        g.add_filter(name, Dummy)
+    for k, (producer, consumer) in enumerate(edges):
+        g.connect(f"s{k}", producer, consumer)
+    return g
+
+
+def networkx_order(nx, names, edges):
+    graph = nx.DiGraph()
+    graph.add_nodes_from(names)
+    graph.add_edges_from(edges)
+    return list(nx.topological_sort(graph))
+
+
+class TestTopologicalOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(filter_graphs())
+    def test_matches_networkx_on_dags(self, graph):
+        nx = pytest.importorskip("networkx")
+        names, edges = graph
+        assert group_of(names, edges).topological_order() == networkx_order(nx, names, edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(filter_graphs(acyclic=False))
+    def test_cycles_raise_where_networkx_does(self, graph):
+        nx = pytest.importorskip("networkx")
+        names, edges = graph
+        group = group_of(names, edges)
+        try:
+            expected = networkx_order(nx, names, edges)
+        except nx.NetworkXUnfeasible:
+            with pytest.raises(FilterGraphError, match="filter graph has a cycle: ") as err:
+                group.topological_order()
+            cycle = str(err.value).split(": ", 1)[1].split(" -> ")
+            assert cycle[0] == cycle[-1]
+            assert all(pair in edges for pair in zip(cycle, cycle[1:]))
+        else:
+            assert group.topological_order() == expected
+
+    def test_three_cycle_names_every_filter(self):
+        names = ["reader", "clip", "viz"]
+        g = group_of(names, [("reader", "clip"), ("clip", "viz"), ("viz", "reader")])
+        with pytest.raises(FilterGraphError, match="filter graph has a cycle") as err:
+            g.validate()
+        assert all(name in str(err.value) for name in names)
+
+    def test_duplicate_streams_count_once(self):
+        g = group_of("abc", [("a", "c"), ("a", "c"), ("a", "b")])
+        assert g.topological_order() == ["a", "c", "b"]
 
 
 class TestPlacement:

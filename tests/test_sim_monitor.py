@@ -1,4 +1,4 @@
-"""Unit tests for statistics monitors (repro.sim.monitor)."""
+"""Unit tests for statistics monitors (repro.sim.stats)."""
 
 import math
 
