@@ -20,12 +20,13 @@ matching the dataset model).
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from typing import Tuple, TYPE_CHECKING
 
 from repro.apps.dataset import ImageDataset, Region
 from repro.errors import WorkloadError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["make_test_slide", "block_pixels", "clip", "subsample", "compose", "render_query"]
 
@@ -33,6 +34,8 @@ __all__ = ["make_test_slide", "block_pixels", "clip", "subsample", "compose", "r
 def make_test_slide(dataset: ImageDataset, seed: int = 0) -> np.ndarray:
     """A deterministic synthetic slide: smooth gradient + seeded texture
     (stands in for a scanned specimen; see DESIGN.md substitutions)."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     y = np.arange(dataset.height, dtype=np.float64)[:, None]
     x = np.arange(dataset.width, dtype=np.float64)[None, :]
@@ -84,6 +87,8 @@ def subsample(pixels: np.ndarray, factor: int) -> np.ndarray:
         raise WorkloadError(
             f"{h}x{w} tile not divisible by subsample factor {factor}"
         )
+    import numpy as np
+
     reshaped = pixels.reshape(h // factor, factor, w // factor, factor)
     return reshaped.mean(axis=(1, 3)).astype(np.uint8)
 
@@ -118,6 +123,8 @@ def render_query(
     same work spread over DataCutter filters."""
     if query_region.width % factor or query_region.height % factor:
         raise WorkloadError("query region must be divisible by the factor")
+    import numpy as np
+
     canvas = np.zeros(
         (query_region.height // factor, query_region.width // factor),
         dtype=np.uint8,

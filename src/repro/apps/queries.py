@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from repro.apps.dataset import ImageDataset
 from repro.errors import WorkloadError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "Query",

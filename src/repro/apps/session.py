@@ -19,13 +19,14 @@ jumps bandwidth-sensitive (all blocks in view).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
-
-import numpy as np
+from typing import List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.apps.dataset import ImageDataset, Region
 from repro.apps.queries import Query, TimedQuery, Workload
 from repro.errors import WorkloadError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["ViewportStep", "SessionModel", "session_workload"]
 
@@ -83,7 +84,11 @@ class SessionModel:
         self.pan_step = pan_step
         self.p_zoom = p_zoom
         self.p_jump = p_jump
-        self.rng = rng or np.random.default_rng(0)
+        if rng is None:
+            import numpy as np
+
+            rng = np.random.default_rng(0)
+        self.rng = rng
         self._x = (dataset.width - view_w) // 2
         self._y = (dataset.height - view_h) // 2
         self._resident: Set[int] = set()
@@ -91,6 +96,8 @@ class SessionModel:
     # -- geometry helpers ---------------------------------------------------------
 
     def _clamp(self) -> None:
+        import numpy as np
+
         self._x = int(np.clip(self._x, 0, self.dataset.width - self.view_w))
         self._y = int(np.clip(self._y, 0, self.dataset.height - self.view_h))
 

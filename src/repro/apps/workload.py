@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
 
 from repro.errors import WorkloadError
 from repro.sim.rng import RandomStreams
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "QueryMix",
@@ -121,6 +122,8 @@ class PoissonProcess(ArrivalProcess):
 
     def arrival_times(self, rng: np.random.Generator,
                       horizon: float) -> np.ndarray:
+        import numpy as np
+
         times: List[np.ndarray] = []
         t = 0.0
         # Draw interarrival gaps in batches sized to overshoot the
@@ -184,6 +187,8 @@ class MMPPProcess(ArrivalProcess):
             else:
                 t += float(rng.exponential(self.mean_off))
             on = not on
+        import numpy as np
+
         return np.asarray(times)
 
 

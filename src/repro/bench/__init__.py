@@ -24,49 +24,8 @@ Submodules
 The CLI front end is ``python -m repro bench run|compare|report|list``;
 the pytest benchmarks under ``benchmarks/`` are thin adapters over the
 same suites.
+
+The package re-exports nothing: import the submodule you need
+(``from repro.bench.runner import run_experiment``), so that loading
+one driver does not also load the sweep harness.
 """
-
-from repro.bench.cache import ResultCache, code_fingerprint
-from repro.bench.comparator import Comparison, MetricDiff, Tolerance, compare_records
-from repro.bench.executor import Point, PointPlan, SweepExecutor
-from repro.bench.records import ExperimentTable, fmt, ratio
-from repro.bench.runner import TraceAggregator, run_experiment
-from repro.bench.schema import SCHEMA_VERSION, BenchRecord, SchemaError
-from repro.bench.suites import (
-    FIGURES,
-    PLANS,
-    SUITES,
-    Anchor,
-    BenchSuite,
-    Claim,
-    get_suite,
-    suite_names,
-)
-
-__all__ = [
-    "ExperimentTable",
-    "fmt",
-    "ratio",
-    "BenchRecord",
-    "SchemaError",
-    "SCHEMA_VERSION",
-    "Anchor",
-    "Claim",
-    "BenchSuite",
-    "SUITES",
-    "FIGURES",
-    "PLANS",
-    "get_suite",
-    "suite_names",
-    "run_experiment",
-    "TraceAggregator",
-    "Point",
-    "PointPlan",
-    "SweepExecutor",
-    "ResultCache",
-    "code_fingerprint",
-    "Tolerance",
-    "MetricDiff",
-    "Comparison",
-    "compare_records",
-]

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-import numpy as np
-
 from repro.apps.dataset import PAPER_IMAGE_BYTES
 from repro.apps.loadbalance import (
     LoadBalanceConfig,
@@ -542,6 +540,8 @@ def _fig9_table(compute_ns_per_byte: float, partitions) -> ExperimentTable:
 def fig9_cell(fraction: float, protocol: str, partitions: int,
               compute_ns_per_byte: float, n_queries: int, seed: int) -> float:
     """Point: mean response time (ms) of one (mix, protocol, partitioning)."""
+    import numpy as np
+
     block = PAPER_IMAGE_BYTES // partitions
     cfg = VizServerConfig(
         protocol=protocol,

@@ -81,12 +81,16 @@ class LinkDirection:
     """One direction of a full-duplex link: serial occupancy + delay.
 
     ``send()`` queues a transmission; the direction transmits one at a
-    time (FIFO), then hands it to ``deliver`` after the transmission's
-    propagation delay (applied only when ``apply_propagation``).
+    time (FIFO) and hands it to ``deliver`` the moment it completes.  A
+    transmission holds the wire for its service time, or until its
+    ``ready_at`` when that is later: the switch's cut-through routing
+    sets ``ready_at`` on the receiving direction so that propagation
+    (the transmission's and the fabric's) is paid there, not here.
 
     Implementation note: the direction is event-driven rather than a
-    process — one kernel event per transmission (plus one when a
-    propagation delay applies).  Links carry every byte of every
+    process — exactly one kernel event per packet transmission (fluid
+    transfers drain on the direction's flow integrator instead; see
+    :meth:`_fluid_drained`).  Links carry every byte of every
     experiment, so this is the hottest path in the simulator.
     """
 

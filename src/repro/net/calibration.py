@@ -31,8 +31,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, Sequence, Tuple
 
-import numpy as np
-
 from repro.sim.units import mbps_to_bytes_per_sec, nsec, usec
 from repro.net.model import ProtocolCostModel
 
@@ -201,6 +199,8 @@ def fit_cost_model(
     Residuals are relative (divided by the observation) so microsecond
     latencies and megabyte bandwidths carry equal weight.
     """
+    import numpy as np
+
     free = list(free_params)
     x0 = np.array([getattr(base, p) for p in free], dtype=float)
     scale = np.where(x0 > 0, x0, 1e-6)

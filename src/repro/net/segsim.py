@@ -19,11 +19,12 @@ reference when they fit their own cost models.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple, TYPE_CHECKING
 
 from repro.net.model import ProtocolCostModel
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "flow_shop_completion_times",
@@ -46,6 +47,8 @@ def flow_shop_completion_times(times: Sequence[Sequence[float]]) -> np.ndarray:
     ``C`` with ``C[i, j]`` the completion time of job *i* on machine
     *j*; the makespan is ``C[-1, -1]``.
     """
+    import numpy as np
+
     t = np.asarray(times, dtype=float)
     if t.ndim != 2 or t.size == 0:
         raise ValueError("need a non-empty 2-D job x machine matrix")

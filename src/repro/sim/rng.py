@@ -12,9 +12,10 @@ which subsystems ask for their streams — the key property for reproducible
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Dict, TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["RandomStreams"]
 
@@ -63,6 +64,8 @@ class RandomStreams:
 
     def fresh_stream(self, name: str) -> np.random.Generator:
         """A brand-new generator for *name*, ignoring the cache."""
+        import numpy as np
+
         seq = np.random.SeedSequence((self.seed,) + _name_to_words(name))
         return np.random.default_rng(seq)
 

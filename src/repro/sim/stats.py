@@ -28,8 +28,9 @@ users:
   ``Histogram.percentile`` there is no binning error, so the values
   are reproducible bit-for-bit).
 
-scipy is imported inside :meth:`BatchMeans.interval`, its only user, so
-importing the simulator does not load it.
+numpy and scipy are imported inside the functions that call them
+(scipy only in :meth:`BatchMeans.interval`), so importing the simulator
+loads neither.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.sim.core import Simulator
 
 __all__ = [
@@ -199,6 +200,8 @@ class Histogram:
     """Fixed-bin histogram over ``[low, high)`` with under/overflow bins."""
 
     def __init__(self, low: float, high: float, nbins: int, name: str = "") -> None:
+        import numpy as np
+
         if not (high > low and nbins >= 1):
             raise ValueError("need high > low and nbins >= 1")
         self.name = name
@@ -228,6 +231,8 @@ class Histogram:
 
     def bin_edges(self) -> np.ndarray:
         """The ``nbins + 1`` bin edges."""
+        import numpy as np
+
         return np.linspace(self.low, self.high, self.nbins + 1)
 
     def percentile(self, q: float) -> float:
@@ -268,12 +273,16 @@ class SeriesRecorder:
 
     def to_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(times, values)`` as float arrays."""
+        import numpy as np
+
         return np.asarray(self.times, float), np.asarray(self.values, float)
 
     def rate(self, window: Optional[Tuple[float, float]] = None) -> float:
         """Samples per unit time over *window* (default: observed span)."""
         if not self.times:
             return 0.0
+        import numpy as np
+
         t = np.asarray(self.times, float)
         if window is None:
             lo, hi = float(t[0]), float(t[-1])
@@ -384,6 +393,8 @@ class BatchMeans:
         """Grand mean over all samples."""
         if not self._samples:
             return math.nan
+        import numpy as np
+
         return float(np.mean(self._samples))
 
     def batch_means(self) -> np.ndarray:
@@ -394,6 +405,8 @@ class BatchMeans:
                 f"{n} samples cannot fill {self.n_batches} batches"
             )
         size = n // self.n_batches
+        import numpy as np
+
         used = np.asarray(self._samples[: size * self.n_batches])
         return used.reshape(self.n_batches, size).mean(axis=1)
 
@@ -435,6 +448,8 @@ def mser5(values: Sequence[float]) -> int:
     Returns the sample index at which the steady state is deemed to
     begin (0 when the series is too short to judge).
     """
+    import numpy as np
+
     batch = 5
     arr = np.asarray(values, dtype=float)
     n_batches = len(arr) // batch

@@ -1,10 +1,11 @@
 """Static and start-up checks on what ``import repro`` pulls in.
 
-numpy is the only third-party package loaded when the package is
-imported; anything else (scipy) is imported inside the function that
-uses it.  These tests pin both rules: every third-party import in the
-source is a declared dependency, and importing every subpackage leaves
-scipy unloaded until a function that needs it is called.
+No third-party package is loaded when the package is imported: numpy
+and scipy are imported inside the functions that call them, so a run
+that never calls one never pays for loading it.  These tests pin both
+rules: every third-party import in the source is a declared dependency,
+and importing every subpackage leaves numpy, scipy and networkx
+unloaded until a function that needs one is called.
 """
 
 import ast
@@ -62,8 +63,15 @@ def test_every_third_party_import_is_a_declared_dependency():
 
 _GUARD = """
 import sys
-import repro.apps, repro.bench, repro.bench.microbench, repro.datacutter, repro.net, repro.cli
-print(sorted(m for m in ("scipy", "networkx") if m in sys.modules))
+import repro.bench.microbench
+print("repro.bench.executor" in sys.modules)
+import repro.sim, repro.cluster, repro.net, repro.via, repro.tcp, repro.udp
+import repro.sockets, repro.transport, repro.datacutter, repro.apps, repro.faults
+import repro.cache, repro.bench, repro.cli
+print(sorted(m for m in ("numpy", "scipy", "networkx") if m in sys.modules))
+from repro.sim.rng import RandomStreams
+RandomStreams(0).stream("x")
+print("numpy" in sys.modules)
 from repro.sim.stats import BatchMeans
 bm = BatchMeans()
 for x in range(100):
@@ -74,7 +82,7 @@ print("scipy.stats" in sys.modules, lo < 3.0 < hi)
 """
 
 
-def test_import_loads_no_scipy_until_batch_means_interval():
+def test_import_loads_no_third_party_package_until_called():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
@@ -87,4 +95,4 @@ def test_import_loads_no_scipy_until_batch_means_interval():
         timeout=120,
         check=True,
     ).stdout.splitlines()
-    assert out == ["[]", "False", "True True"]
+    assert out == ["False", "[]", "True", "False", "True True"]
